@@ -8,6 +8,7 @@
 
 use crate::args::ArgError;
 use rand::RngCore;
+use resq::core::workflow::task_law::{PowerSubstitution, TaskDuration};
 use resq::dist::{
     Continuous, Distribution, Exponential, Gamma, LogNormal, Normal, Poisson, Sample, Truncated,
     Uniform,
@@ -68,8 +69,10 @@ impl<D: Continuous + Sample + Send + Sync> ErasedLaw for D {
 }
 
 /// A type-erased continuous law implementing the `resq` traits, so CLI
-/// strings flow into the library's strongly-typed API.
-pub struct DynLaw(pub Box<dyn ErasedLaw>);
+/// strings flow into the library's strongly-typed API. The second field
+/// keeps the wrapped law's [`PowerSubstitution`], which the erasure
+/// would otherwise hide from the `E[W_{+1}]` integrators.
+pub struct DynLaw(pub Box<dyn ErasedLaw>, Option<PowerSubstitution>);
 
 impl Distribution for DynLaw {
     fn mean(&self) -> f64 {
@@ -107,9 +110,12 @@ impl Sample for DynLaw {
     }
 }
 
-impl resq::core::workflow::task_law::TaskDuration for DynLaw {
+impl TaskDuration for DynLaw {
     fn expected_one_more(&self, w: f64, r: f64, ckpt_cdf: &dyn Fn(f64) -> f64) -> f64 {
         resq::core::workflow::task_law::continuous_expected_one_more(self, w, r, ckpt_cdf)
+    }
+    fn power_substitution(&self) -> Option<PowerSubstitution> {
+        self.1
     }
     fn mean_duration(&self) -> f64 {
         self.0.mean()
@@ -151,13 +157,16 @@ fn parse_params(raw: &str, n: usize, what: &str) -> Result<Vec<f64>, ArgError> {
 
 fn boxed<D>(law: D, trunc: Option<(f64, f64)>) -> Result<DynLaw, ArgError>
 where
-    D: Continuous + Sample + Send + Sync + 'static,
+    D: Continuous + Sample + TaskDuration + Send + Sync + 'static,
 {
     match trunc {
-        None => Ok(DynLaw(Box::new(law))),
+        None => {
+            let sub = law.power_substitution();
+            Ok(DynLaw(Box::new(law), sub))
+        }
         Some((lo, hi)) => {
             let t = Truncated::new(law, lo, hi).map_err(|e| err(e.to_string()))?;
-            Ok(DynLaw(Box::new(t)))
+            Ok(DynLaw(Box::new(t), None))
         }
     }
 }

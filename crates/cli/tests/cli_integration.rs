@@ -54,6 +54,25 @@ fn plan_dynamic_reports_fig8_threshold() {
 }
 
 #[test]
+fn plan_dynamic_solves_gamma_tasks_with_unbounded_density() {
+    // Gamma(0.55): the parsed law keeps its u = x^k substitution through
+    // type erasure; integrated in x, each E[W_{+1}] would spend the
+    // whole quadrature budget and the solve would fail.
+    let out = resq(&[
+        "plan-dynamic",
+        "--task",
+        "gamma:0.55,0.5",
+        "--ckpt",
+        "normal:2,0.3@0,",
+        "--reservation",
+        "20",
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("threshold W_int   : 16.348"), "threshold off in:\n{text}");
+}
+
+#[test]
 fn plan_static_reports_fig7_n_opt() {
     let out = resq(&[
         "plan-static",

@@ -70,4 +70,4 @@ pub use workflow::dynamic::DynamicStrategy;
 pub use workflow::heterogeneous::{DpSolution, HeterogeneousDynamic, Stage};
 pub use workflow::statics::{StaticPlan, StaticStrategy};
 pub use workflow::sum_law::IidSum;
-pub use workflow::task_law::TaskDuration;
+pub use workflow::task_law::{PowerSubstitution, TaskDuration};

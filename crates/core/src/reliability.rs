@@ -38,6 +38,7 @@
 //! slack for failed attempts.
 
 use crate::error::CoreError;
+use crate::workflow::dynamic::refine_crossing;
 use crate::workflow::statics::StaticPlan;
 use crate::workflow::sum_law::IidSum;
 use crate::workflow::task_law::TaskDuration;
@@ -786,7 +787,8 @@ impl<X: TaskDuration, C: Continuous> RetryDynamicStrategy<X, C> {
     /// [`crate::DynamicStrategy::threshold`] but with `S` in both
     /// branches. `Ok(None)` if checkpointing never wins before `R`;
     /// [`CoreError::Numerics`] when the `E[W_{+1}]` quadrature fails to
-    /// converge at a scan point.
+    /// converge, or spends its evaluation budget, at a scan point or
+    /// during refinement.
     pub fn threshold(&self) -> Result<Option<f64>, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
         let r = self.model.r;
@@ -803,11 +805,7 @@ impl<X: TaskDuration, C: Continuous> RetryDynamicStrategy<X, C> {
             let w = step * i as f64;
             let d = exact_diff(w)?;
             if prev_d < 0.0 && d >= 0.0 {
-                // Brent refinement on the plain diff over the identical
-                // bracket — bit-identical to the pre-checked behavior.
-                let diff = |w: f64| self.expect_checkpoint_now(w) - self.expect_one_more(w);
-                let root = resq_numerics::brent_root(diff, prev_w, w, 1e-9);
-                return Ok(Some(root.unwrap_or(w)));
+                return refine_crossing(exact_diff, prev_w, w).map(Some);
             }
             prev_w = w;
             prev_d = d;

@@ -114,7 +114,7 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
     /// happen when `R` is too short for even one checkpoint to plausibly
     /// fit — then everything is lost regardless);
     /// [`CoreError::Numerics`] when the `E[W_{+1}]` quadrature fails to
-    /// converge at a deciding scan point.
+    /// converge, or spends its evaluation budget, at a deciding point.
     pub fn threshold(&self) -> Result<Option<f64>, CoreError> {
         self.threshold_with(&mut SolveCache::new())
     }
@@ -127,10 +127,10 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
     /// — beyond a guard band 1000× the fast path's worst-case error —
     /// is accepted as "continue wins" without an exact evaluation.
     /// Every *deciding* value (the crossing's bracket endpoints, the
-    /// `w = 0` seed, the final scan point) is evaluated through the
-    /// exact convergence-checked integrand, and Brent refinement runs on
-    /// the plain exact diff over the identical bracket — so the returned
-    /// `W_int` is bit-identical to an all-exact scan.
+    /// `w = 0` seed, the final scan point, every Brent refinement step)
+    /// is evaluated through the exact convergence-checked integrand,
+    /// whose values are bit-identical to the plain exact diff's — so the
+    /// returned `W_int` is bit-identical to an all-exact scan.
     pub fn threshold_with(&self, cache: &mut SolveCache) -> Result<Option<f64>, CoreError> {
         let _span = resq_obs::span::enter(resq_obs::span_name::SOLVE_DYNAMIC);
         let fit = cache.fit_lattice(&self.ckpt, self.r);
@@ -181,9 +181,7 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
                     None => exact_diff(prev_w)?,
                 };
                 if pd < 0.0 {
-                    let diff = |w: f64| self.expect_checkpoint_now(w) - self.expect_one_more(w);
-                    let root = resq_numerics::brent_root(diff, prev_w, w, 1e-9);
-                    return Ok(Some(root.unwrap_or(w)));
+                    return refine_crossing(exact_diff, prev_w, w).map(Some);
                 }
             }
             prev_w = w;
@@ -200,6 +198,36 @@ impl<X: TaskDuration, C: Continuous> DynamicStrategy<X, C> {
         } else {
             None
         })
+    }
+}
+
+/// Brent refinement of the crossing of a fallible `diff` inside
+/// `[lo, hi]` (tolerance 1e-9; `hi` when Brent gives up). The first
+/// error ends the refinement and is returned, so a quadrature that fails
+/// mid-refinement is reported rather than fed to Brent as a number.
+pub(crate) fn refine_crossing(
+    diff: impl Fn(f64) -> Result<f64, CoreError>,
+    lo: f64,
+    hi: f64,
+) -> Result<f64, CoreError> {
+    let mut failed = None;
+    let root = resq_numerics::brent_root(
+        |w| {
+            if failed.is_some() {
+                return f64::NAN;
+            }
+            diff(w).unwrap_or_else(|e| {
+                failed = Some(e);
+                f64::NAN
+            })
+        },
+        lo,
+        hi,
+        1e-9,
+    );
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(root.unwrap_or(hi)),
     }
 }
 
@@ -348,6 +376,29 @@ mod tests {
         let b = tn.threshold_with(&mut cache).unwrap();
         assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
         assert_eq!(a.map(f64::to_bits), reference_threshold(&tn).map(f64::to_bits));
+    }
+
+    #[test]
+    fn refinement_reports_the_first_failed_evaluation() {
+        let budget = resq_numerics::NumericsError::EvalBudget {
+            evals: 7,
+            budget: 5,
+        };
+        // The endpoints bracket the root at 1; Brent's first interior
+        // step fails.
+        let diff = |w: f64| {
+            if w == 0.0 || w == 3.0 {
+                Ok(w - 1.0)
+            } else {
+                Err(CoreError::Numerics(budget))
+            }
+        };
+        assert!(matches!(
+            refine_crossing(diff, 0.0, 3.0),
+            Err(CoreError::Numerics(e)) if e == budget
+        ));
+        let root = refine_crossing(|w| Ok(w - 1.0), 0.0, 3.0).unwrap();
+        assert!((root - 1.0).abs() < 1e-9);
     }
 
     #[test]

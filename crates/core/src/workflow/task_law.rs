@@ -8,12 +8,15 @@
 //!
 //! * for **every continuous law** via adaptive quadrature (a blanket
 //!   impl — this covers the paper's truncated Normal and Gamma
-//!   instantiations, and anything else a user plugs in), and
+//!   instantiations, and anything else a user plugs in), in `u = x^k`
+//!   for the laws whose density is unbounded at 0 (Gamma and Weibull
+//!   with shape `k < 1`, see [`PowerSubstitution`]), and
 //! * for **Poisson** via the paper's finite sum.
 
 use rand::RngCore;
-use resq_dist::{Continuous, Discrete, Distribution, Poisson, Sample};
-use resq_numerics::{GaussLegendre, LatticeCache, NeumaierSum};
+use resq_dist::{Continuous, Discrete, Distribution, Gamma, Poisson, Sample, Weibull};
+use resq_numerics::{adaptive_simpson, GaussLegendre, LatticeCache, NeumaierSum, QuadResult};
+use resq_specfun::ln_gamma;
 
 /// Relative agreement demanded of the two Gauss–Legendre resolutions
 /// before [`TaskDuration::expected_one_more_fast`] trusts them (see
@@ -73,6 +76,15 @@ pub trait TaskDuration {
         None
     }
 
+    /// The `u = x^k` substitution when this law's density is unbounded
+    /// at 0 like `x^(k−1)`, `k < 1`. The `E[W_{+1}]` integrators then
+    /// integrate a smooth density over `[0, (R − w)^k]` instead of
+    /// making adaptive quadrature chase the singularity. `None` (the
+    /// default) keeps the integral in `x`.
+    fn power_substitution(&self) -> Option<PowerSubstitution> {
+        None
+    }
+
     /// Mean task duration.
     fn mean_duration(&self) -> f64;
 
@@ -109,92 +121,210 @@ pub trait TaskDuration {
     }
 }
 
+/// Absolute tolerance of the adaptive `E[W_{+1}]` quadrature.
+pub const ONE_MORE_TOL: f64 = 1e-11;
+
+/// The substitution `u = x^k` for a task density that grows like
+/// `x^(k−1)` at 0 (Gamma or Weibull with shape `k < 1`). With
+/// `x = u^{1/k}` the Jacobian `dx/du = u^{1/k − 1}/k` cancels that factor
+/// exactly, leaving a density in `u` that is smooth and finite at 0:
+///
+/// * Gamma(k, θ): `e^{−x/θ} / (k·Γ(k)·θ^k)`;
+/// * Weibull(k, λ): `e^{−u/λ^k} / λ^k`.
+///
+/// Both are `exp(ln_norm − x_rate·x − u_rate·u)`, which is how this type
+/// stores them (docs/THEORY.md has the derivation).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerSubstitution {
+    k: f64,
+    inv_k: f64,
+    ln_norm: f64,
+    x_rate: f64,
+    u_rate: f64,
+}
+
+impl PowerSubstitution {
+    /// The substitution for Gamma(k, θ); `None` unless `k < 1`.
+    pub fn gamma(law: &Gamma) -> Option<Self> {
+        let (k, theta) = (law.shape(), law.scale());
+        (k < 1.0).then(|| Self {
+            k,
+            inv_k: 1.0 / k,
+            ln_norm: -(k.ln() + ln_gamma(k) + k * theta.ln()),
+            x_rate: 1.0 / theta,
+            u_rate: 0.0,
+        })
+    }
+
+    /// The substitution for Weibull(k, λ); `None` unless `k < 1`.
+    pub fn weibull(law: &Weibull) -> Option<Self> {
+        let (k, lambda) = (law.shape(), law.scale());
+        (k < 1.0).then(|| Self {
+            k,
+            inv_k: 1.0 / k,
+            ln_norm: -k * lambda.ln(),
+            x_rate: 0.0,
+            u_rate: lambda.powf(-k),
+        })
+    }
+
+    /// `u = x^k`.
+    #[inline]
+    fn u_of(&self, x: f64) -> f64 {
+        x.powf(self.k)
+    }
+
+    /// `x = u^{1/k}`.
+    #[inline]
+    fn x_of(&self, u: f64) -> f64 {
+        u.powf(self.inv_k)
+    }
+
+    /// The density of `u` at `u = x^k`: `f_X(x)·dx/du`, evaluated in its
+    /// closed form (both coordinates are passed because each law needs
+    /// one of them).
+    #[inline]
+    fn density(&self, x: f64, u: f64) -> f64 {
+        (self.ln_norm - self.x_rate * x - self.u_rate * u).exp()
+    }
+}
+
+/// The §4.3 integral `E[W_{+1}] = ∫_0^{R−w} (x + w)·P(C ≤ R−w−x)·f_X(x) dx`
+/// on its integration range: in `x` itself, or in `u = x^k` when the
+/// task law supplies a [`PowerSubstitution`]. The adaptive, checked and
+/// fast integrators all integrate through this, so they agree on the
+/// integrand and the range.
+struct OneMore<'a, D> {
+    task: &'a D,
+    sub: Option<PowerSubstitution>,
+    w: f64,
+    /// `R − w`, the time left for the task and the checkpoint.
+    remaining: f64,
+    /// Integration range, in `x` or in `u`.
+    lo: f64,
+    hi: f64,
+}
+
+impl<'a, D: Continuous + TaskDuration> OneMore<'a, D> {
+    /// `None` when the integral is empty: no time left after `w`, or a
+    /// task support outside `[0, R − w]`.
+    fn new(task: &'a D, w: f64, r: f64) -> Option<Self> {
+        let remaining = r - w;
+        if remaining <= 0.0 {
+            return None;
+        }
+        let (lo, hi) = task.support();
+        let lo = lo.max(0.0);
+        let hi = hi.min(remaining);
+        if hi <= lo {
+            return None;
+        }
+        let sub = task.power_substitution();
+        let (lo, hi) = match sub {
+            Some(s) => (s.u_of(lo), s.u_of(hi)),
+            None => (lo, hi),
+        };
+        Some(Self {
+            task,
+            sub,
+            w,
+            remaining,
+            lo,
+            hi,
+        })
+    }
+
+    /// The integrand at `t`, a point of the integration range, with the
+    /// checkpoint CDF `ckpt_cdf`.
+    #[inline]
+    fn at(&self, t: f64, ckpt_cdf: impl Fn(f64) -> f64) -> f64 {
+        let x = match self.sub {
+            Some(s) => s.x_of(t),
+            None => t,
+        };
+        let p = ckpt_cdf(self.remaining - x);
+        if p <= 0.0 {
+            return 0.0;
+        }
+        let density = match self.sub {
+            Some(s) => s.density(x, t),
+            None => self.task.pdf(x),
+        };
+        let v = (x + self.w) * p * density;
+        // Integrable endpoint singularities of laws without a
+        // substitution (a density infinite at x = 0) must not poison
+        // the quadrature.
+        if v.is_finite() {
+            v
+        } else {
+            0.0
+        }
+    }
+
+    /// The width, in the integration variable, of the narrowest image of
+    /// an `x`-interval of width `feature` inside the range. `u = x^k` is
+    /// concave for `k < 1`, so that image is the one at the top.
+    fn feature(&self, feature: f64) -> f64 {
+        match self.sub {
+            Some(s) => self.hi - s.u_of((s.x_of(self.hi) - feature).max(0.0)),
+            None => feature,
+        }
+    }
+}
+
+/// `E[W_{+1}]` by adaptive quadrature against a continuous task law,
+/// with the quadrature's error estimate and evaluation count (a zero
+/// result with no evaluations when the integral is empty).
+pub fn continuous_one_more_quad<D: Continuous + TaskDuration>(
+    task: &D,
+    w: f64,
+    r: f64,
+    ckpt_cdf: &dyn Fn(f64) -> f64,
+) -> QuadResult {
+    match OneMore::new(task, w, r) {
+        Some(q) => adaptive_simpson(|t| q.at(t, ckpt_cdf), q.lo, q.hi, ONE_MORE_TOL),
+        None => QuadResult {
+            value: 0.0,
+            error: 0.0,
+            evals: 0,
+        },
+    }
+}
+
 /// `E[W_{+1}]` by quadrature against any continuous task density — the
-/// §4.3 integral `∫_0^{R−w} (x + w)·P(C ≤ R−w−x)·f_X(x) dx`.
-pub fn continuous_expected_one_more<D: Continuous>(
+/// §4.3 integral `∫_0^{R−w} (x + w)·P(C ≤ R−w−x)·f_X(x) dx`, taken in
+/// `u = x^k` when the law has a [`PowerSubstitution`].
+pub fn continuous_expected_one_more<D: Continuous + TaskDuration>(
     task: &D,
     w: f64,
     r: f64,
     ckpt_cdf: &dyn Fn(f64) -> f64,
 ) -> f64 {
-    let budget = r - w;
-    if budget <= 0.0 {
-        return 0.0;
-    }
-    let (lo, hi) = task.support();
-    let lo = lo.max(0.0);
-    let hi = hi.min(budget);
-    if hi <= lo {
-        return 0.0;
-    }
-    resq_numerics::adaptive_simpson(
-        |x| {
-            let p = ckpt_cdf(budget - x);
-            if p <= 0.0 {
-                return 0.0;
-            }
-            let v = (x + w) * p * task.pdf(x);
-            // Integrable endpoint singularities (e.g. Gamma pdf with
-            // shape < 1 at x = 0) must not poison the quadrature.
-            if v.is_finite() {
-                v
-            } else {
-                0.0
-            }
-        },
-        lo,
-        hi,
-        1e-11,
-    )
-    .value
+    continuous_one_more_quad(task, w, r, ckpt_cdf).value
 }
 
-/// [`continuous_expected_one_more`] through the convergence-checked
-/// integrator: same integrand, same tolerance, same evaluation order —
-/// bit-identical value when quadrature converges — but non-convergence
+/// [`continuous_expected_one_more`] through the convergence check of
+/// [`QuadResult::checked`]: the same quadrature — bit-identical value
+/// when it converges — but non-convergence or a spent evaluation budget
 /// surfaces as a typed error instead of a silently wrong number.
-pub fn continuous_expected_one_more_checked<D: Continuous>(
+pub fn continuous_expected_one_more_checked<D: Continuous + TaskDuration>(
     task: &D,
     w: f64,
     r: f64,
     ckpt_cdf: &dyn Fn(f64) -> f64,
 ) -> Result<f64, resq_numerics::NumericsError> {
-    let budget = r - w;
-    if budget <= 0.0 {
-        return Ok(0.0);
-    }
-    let (lo, hi) = task.support();
-    let lo = lo.max(0.0);
-    let hi = hi.min(budget);
-    if hi <= lo {
-        return Ok(0.0);
-    }
-    let q = resq_numerics::adaptive_simpson_checked(
-        |x| {
-            let p = ckpt_cdf(budget - x);
-            if p <= 0.0 {
-                return 0.0;
-            }
-            let v = (x + w) * p * task.pdf(x);
-            if v.is_finite() {
-                v
-            } else {
-                0.0
-            }
-        },
-        lo,
-        hi,
-        1e-11,
-    )?;
-    Ok(q.value)
+    Ok(continuous_one_more_quad(task, w, r, ckpt_cdf)
+        .checked(ONE_MORE_TOL)?
+        .value)
 }
 
 /// Fast `E[W_{+1}]` for a continuous law: lattice-served checkpoint CDF
 /// plus fixed-order Gauss–Legendre at two resolutions, panels sized so a
-/// `feature`-wide structure spans at least one segment
-/// (`segments_for_window`). `None` when the resolutions disagree beyond
-/// `GL_FAST_TOL` (callers use the exact path for that point).
-pub fn continuous_expected_one_more_fast<D: Continuous>(
+/// `feature`-wide structure (in `x`, mapped onto the integration range)
+/// spans at least one segment (`segments_for_window`). `None` when the
+/// resolutions disagree beyond `GL_FAST_TOL` (callers use the exact path
+/// for that point).
+pub fn continuous_expected_one_more_fast<D: Continuous + TaskDuration>(
     task: &D,
     w: f64,
     r: f64,
@@ -202,31 +332,13 @@ pub fn continuous_expected_one_more_fast<D: Continuous>(
     gl: &GaussLegendre,
     feature: f64,
 ) -> Option<f64> {
-    let budget = r - w;
-    if budget <= 0.0 {
+    let Some(q) = OneMore::new(task, w, r) else {
         return Some(0.0);
-    }
-    let (lo, hi) = task.support();
-    let lo = lo.max(0.0);
-    let hi = hi.min(budget);
-    if hi <= lo {
-        return Some(0.0);
-    }
-    let segments = crate::solve_cache::segments_for_window(hi - lo, feature);
-    let mut integrand = |x: f64| {
-        let p = fit.eval(budget - x);
-        if p <= 0.0 {
-            return 0.0;
-        }
-        let v = (x + w) * p * task.pdf(x);
-        if v.is_finite() {
-            v
-        } else {
-            0.0
-        }
     };
-    let coarse = gl.integrate_composite(&mut integrand, lo, hi, segments);
-    let fine = gl.integrate_composite(&mut integrand, lo, hi, 2 * segments);
+    let segments = crate::solve_cache::segments_for_window(q.hi - q.lo, q.feature(feature));
+    let mut integrand = |t: f64| q.at(t, |c| fit.eval(c));
+    let coarse = gl.integrate_composite(&mut integrand, q.lo, q.hi, segments);
+    let fine = gl.integrate_composite(&mut integrand, q.lo, q.hi, 2 * segments);
     let err = (fine - coarse).abs();
     if fine.is_finite() && err <= GL_FAST_TOL * (1.0 + fine.abs()) {
         Some(fine)
@@ -239,8 +351,10 @@ pub fn continuous_expected_one_more_fast<D: Continuous>(
 /// [`continuous_expected_one_more`]. (A blanket impl over
 /// `D: Continuous + Sample` would conflict with the dedicated Poisson
 /// impl under coherence rules, so the continuous laws are enumerated.)
+/// A law listed as `Law => constructor` also supplies its
+/// [`PowerSubstitution`] through `constructor(&law)`.
 macro_rules! impl_continuous_task {
-    ($($ty:ty),+ $(,)?) => {$(
+    ($($ty:ty $(=> $sub:path)?),+ $(,)?) => {$(
         impl TaskDuration for $ty {
             fn expected_one_more(
                 &self,
@@ -271,6 +385,11 @@ macro_rules! impl_continuous_task {
             fn fast_kernel_feature(&self) -> Option<f64> {
                 Some(self.quantile(0.999) - self.quantile(0.001))
             }
+            $(
+                fn power_substitution(&self) -> Option<PowerSubstitution> {
+                    $sub(self)
+                }
+            )?
             fn mean_duration(&self) -> f64 {
                 self.mean()
             }
@@ -293,8 +412,8 @@ impl_continuous_task!(
     resq_dist::Exponential,
     resq_dist::Normal,
     resq_dist::LogNormal,
-    resq_dist::Gamma,
-    resq_dist::Weibull,
+    Gamma => PowerSubstitution::gamma,
+    Weibull => PowerSubstitution::weibull,
     resq_dist::Constant,
 );
 
@@ -487,6 +606,25 @@ mod tests {
                 .expect("finite sum always available");
             let pexact = poisson.expected_one_more(w, 29.0, &g);
             assert!((pfast - pexact).abs() < 5e-4, "w = {w}: {pfast} vs {pexact}");
+        }
+    }
+
+    #[test]
+    fn power_substitution_densities_match_the_laws() {
+        // g(u) = f_X(x)·dx/du with x = u^{1/k}, dx/du = x^{1−k}/k.
+        let gamma = Gamma::new(0.7, 0.5).unwrap();
+        let weibull = Weibull::new(0.7, 0.5).unwrap();
+        for (pdf, sub) in [
+            (&gamma as &dyn Continuous, gamma.power_substitution().unwrap()),
+            (&weibull, weibull.power_substitution().unwrap()),
+        ] {
+            for x in [1e-3, 0.1, 0.5, 2.0] {
+                let u = sub.u_of(x);
+                let want = pdf.pdf(x) * x.powf(1.0 - 0.7) / 0.7;
+                let got = sub.density(x, u);
+                assert!(((got - want) / want).abs() < 1e-12, "x = {x}: {got} vs {want}");
+                assert!((sub.x_of(u) - x).abs() < 1e-14 * x.max(1.0));
+            }
         }
     }
 

@@ -29,6 +29,14 @@ pub enum NumericsError {
         /// The tolerance that was requested.
         tol: f64,
     },
+    /// An adaptive quadrature spent its integrand-evaluation budget
+    /// before meeting its tolerance (see `quad::QUAD_EVAL_BUDGET`).
+    EvalBudget {
+        /// Evaluations spent.
+        evals: usize,
+        /// The budget that was hit.
+        budget: usize,
+    },
     /// A structurally invalid input (e.g. a zero-order quadrature rule).
     InvalidInput {
         /// What was wrong.
@@ -52,6 +60,12 @@ impl std::fmt::Display for NumericsError {
                 write!(
                     f,
                     "quadrature error estimate {error:.3e} exceeds tolerance {tol:.3e}"
+                )
+            }
+            NumericsError::EvalBudget { evals, budget } => {
+                write!(
+                    f,
+                    "quadrature spent {evals} integrand evaluations, past its budget of {budget}"
                 )
             }
             NumericsError::InvalidInput { what } => write!(f, "invalid input: {what}"),

@@ -21,8 +21,9 @@
 //!   interpolation and a two-resolution a-posteriori error estimate, the
 //!   substrate of the precomputed policy lattices.
 //! * [`error`] — the shared [`NumericsError`] type: non-bracketing
-//!   intervals, iteration-cap exhaustion and quadrature non-convergence
-//!   are typed errors, not panics or silent best-effort returns.
+//!   intervals, iteration-cap exhaustion, quadrature non-convergence and
+//!   a spent quadrature evaluation budget are typed errors, not panics
+//!   or silent best-effort returns.
 
 pub mod error;
 pub mod grid;
@@ -41,7 +42,7 @@ pub use memo::{KernelCache, LatticeCache};
 pub use quad::{
     adaptive_simpson, adaptive_simpson_checked, gauss_legendre_checked,
     gauss_legendre_checked_from, integrate_to_inf, GaussLegendre, QuadResult, GL_CHECK_SEGMENTS,
-    GL_MAX_SEGMENTS,
+    GL_MAX_SEGMENTS, QUAD_EVAL_BUDGET,
 };
 pub use roots::{bisect, brent_root, newton_safeguarded};
 pub use sum::NeumaierSum;

@@ -19,6 +19,35 @@ pub struct QuadResult {
     pub evals: usize,
 }
 
+impl QuadResult {
+    /// Whether the call ran into [`QUAD_EVAL_BUDGET`], so that some
+    /// subintervals kept their unrefined estimates.
+    pub fn budget_exhausted(&self) -> bool {
+        self.evals >= QUAD_EVAL_BUDGET
+    }
+
+    /// This result, or a typed error when it ran out of evaluations,
+    /// is not finite, or carries a conservative error estimate far
+    /// (1000×) above `tol` — the acceptance test of
+    /// [`adaptive_simpson_checked`].
+    pub fn checked(self, tol: f64) -> Result<Self, crate::NumericsError> {
+        if self.budget_exhausted() {
+            return Err(crate::NumericsError::EvalBudget {
+                evals: self.evals,
+                budget: QUAD_EVAL_BUDGET,
+            });
+        }
+        let limit = 1000.0 * tol.max(f64::MIN_POSITIVE);
+        if !self.value.is_finite() || !self.error.is_finite() || self.error > limit {
+            return Err(crate::NumericsError::QuadratureTolerance {
+                error: self.error,
+                tol,
+            });
+        }
+        Ok(self)
+    }
+}
+
 const MAX_DEPTH: u32 = 52;
 /// Levels of unconditional refinement before the error criterion may stop
 /// the recursion; with the 16 initial panels this gives a guaranteed
@@ -27,12 +56,46 @@ const MAX_DEPTH: u32 = 52;
 /// quarter of the cost of deeper forcing.
 const MIN_DEPTH: u32 = MAX_DEPTH - 3;
 
+/// Integrand evaluations one [`adaptive_simpson`] call may spend. Once
+/// it is spent no subinterval is refined further, so an integrand the
+/// recursion cannot resolve (an endpoint singularity, a pole) costs
+/// bounded time; the checked entry points report it as
+/// [`crate::NumericsError::EvalBudget`]. The largest count a solver call
+/// in the test-suite or the benchmark workloads needs is about 51k (a
+/// static strategy's `E(n)` over a long window), so the budget leaves
+/// about 20× headroom; at roughly 100 ns an evaluation it stops a call
+/// after about 0.1 s instead of minutes.
+pub const QUAD_EVAL_BUDGET: usize = 1_000_000;
+
+/// The integrand with its evaluation count, shared down the recursion so
+/// every level can see how much of [`QUAD_EVAL_BUDGET`] is left.
+struct Counted<F> {
+    f: F,
+    evals: usize,
+}
+
+impl<F: FnMut(f64) -> f64> Counted<F> {
+    #[inline]
+    fn eval(&mut self, x: f64) -> f64 {
+        self.evals += 1;
+        (self.f)(x)
+    }
+
+    #[inline]
+    fn spent(&self) -> bool {
+        self.evals >= QUAD_EVAL_BUDGET
+    }
+}
+
 /// Adaptive Simpson quadrature of `f` over the finite interval `[a, b]`
 /// with absolute tolerance `tol`.
 ///
 /// Handles `a > b` by sign flip and `a == b` as zero. The integrand must
 /// be finite on `[a, b]`; NaN evaluations poison the result (NaN out).
-pub fn adaptive_simpson<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64) -> QuadResult {
+/// At most about [`QUAD_EVAL_BUDGET`] evaluations are spent; a call that
+/// reaches it returns its best estimate so far with
+/// [`QuadResult::budget_exhausted`] set.
+pub fn adaptive_simpson<F: FnMut(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> QuadResult {
     if a == b {
         return QuadResult {
             value: 0.0,
@@ -46,11 +109,7 @@ pub fn adaptive_simpson<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64
         return r;
     }
     let _span = resq_obs::span::enter(resq_obs::span_name::QUAD);
-    let mut evals = 0usize;
-    let mut eval = |x: f64| {
-        evals += 1;
-        f(x)
-    };
+    let mut f = Counted { f, evals: 0 };
     // Pre-split into fixed panels so narrow features (e.g. a checkpoint
     // law with tiny σ inside a long reservation) cannot hide between the
     // three initial samples of a single global panel.
@@ -62,30 +121,30 @@ pub fn adaptive_simpson<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64
     for i in 0..PANELS {
         let lo = a + h * i as f64;
         let hi = if i == PANELS - 1 { b } else { lo + h };
-        let flo = eval(lo);
-        let fhi = eval(hi);
+        let flo = f.eval(lo);
+        let fhi = f.eval(hi);
         let mid = 0.5 * (lo + hi);
-        let fmid = eval(mid);
+        let fmid = f.eval(mid);
         let whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi);
-        let (v, e) = simpson_rec(
-            &mut eval, lo, hi, flo, fmid, fhi, whole, panel_tol, MAX_DEPTH,
-        );
+        let (v, e) = simpson_rec(&mut f, lo, hi, flo, fmid, fhi, whole, panel_tol, MAX_DEPTH);
         value.add(v);
         error += e;
     }
     // One batched metric update per quadrature call, not per evaluation.
-    resq_obs::metrics::QUADRATURE_EVALS.add(evals as u64);
+    resq_obs::metrics::QUADRATURE_EVALS.add(f.evals as u64);
     QuadResult {
         value: value.value(),
         error,
-        evals,
+        evals: f.evals,
     }
 }
 
 /// [`adaptive_simpson`] with a convergence check: returns `Err` when the
-/// recursion bottomed out with a conservative error estimate still far
-/// (1000×) above the requested tolerance, or produced a non-finite
-/// value, instead of silently handing back the best-effort estimate.
+/// call spent its [`QUAD_EVAL_BUDGET`], or the recursion bottomed out
+/// with a conservative error estimate still far (1000×) above the
+/// requested tolerance, or produced a non-finite value, instead of
+/// silently handing back the best-effort estimate (see
+/// [`QuadResult::checked`]).
 ///
 /// Use this on input-driven paths (CLI specs, learned laws) where a
 /// surprise integrand should become a readable error, not a silently
@@ -96,20 +155,12 @@ pub fn adaptive_simpson_checked<F: FnMut(f64) -> f64>(
     b: f64,
     tol: f64,
 ) -> Result<QuadResult, crate::NumericsError> {
-    let r = adaptive_simpson(f, a, b, tol);
-    let budget = 1000.0 * tol.max(f64::MIN_POSITIVE);
-    if !r.value.is_finite() || !r.error.is_finite() || r.error > budget {
-        return Err(crate::NumericsError::QuadratureTolerance {
-            error: r.error,
-            tol,
-        });
-    }
-    Ok(r)
+    adaptive_simpson(f, a, b, tol).checked(tol)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn simpson_rec<F: FnMut(f64) -> f64>(
-    f: &mut F,
+    f: &mut Counted<F>,
     a: f64,
     b: f64,
     fa: f64,
@@ -122,13 +173,13 @@ fn simpson_rec<F: FnMut(f64) -> f64>(
     let m = 0.5 * (a + b);
     let lm = 0.5 * (a + m);
     let rm = 0.5 * (m + b);
-    let flm = f(lm);
-    let frm = f(rm);
+    let flm = f.eval(lm);
+    let frm = f.eval(rm);
     let left = (m - a) / 6.0 * (fa + 4.0 * flm + fm);
     let right = (b - m) / 6.0 * (fm + 4.0 * frm + fb);
     let delta = left + right - whole;
     // Richardson: Simpson error on the refined estimate is delta/15.
-    if depth == 0 || (depth <= MIN_DEPTH && delta.abs() <= 15.0 * tol) {
+    if depth == 0 || (depth <= MIN_DEPTH && delta.abs() <= 15.0 * tol) || f.spent() {
         return (left + right + delta / 15.0, delta.abs() / 15.0);
     }
     let (lv, le) = simpson_rec(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1);
@@ -414,6 +465,28 @@ mod tests {
             "got {}, want {want}",
             r.value
         );
+    }
+
+    #[test]
+    fn simpson_stops_at_the_eval_budget() {
+        // sin(1/x) oscillates without end near 0: every level of the
+        // recursion finds new structure, so only the budget stops it.
+        let f = |x: f64| if x > 0.0 { (1.0 / x).sin() } else { 0.0 };
+        let r = adaptive_simpson(f, 0.0, 1.0, 1e-12);
+        assert!(r.budget_exhausted());
+        // Past the budget each pending level finishes with two more
+        // evaluations and each untouched panel with its first five.
+        assert!(r.evals < QUAD_EVAL_BUDGET + 1000, "{} evals", r.evals);
+        assert!(r.value.is_finite());
+        assert_eq!(
+            adaptive_simpson_checked(f, 0.0, 1.0, 1e-12),
+            Err(crate::NumericsError::EvalBudget {
+                evals: r.evals,
+                budget: QUAD_EVAL_BUDGET
+            })
+        );
+        // A smooth integrand stays far below it.
+        assert!(!adaptive_simpson(|x: f64| x.sin(), 0.0, 1.0, 1e-12).budget_exhausted());
     }
 
     #[test]
